@@ -4,11 +4,13 @@
 //! perfbench --workload <name> --seed <n> --seconds <s> --trace <0|1> [--work-dir <dir>]
 //! ```
 //!
-//! Each workload builds its inputs from `--seed`, sets up (timed, three
+//! Each workload builds its inputs from `--seed`, sets up (timed, five
 //! times, median reported), then runs a closed loop with one caller for at
-//! least `--seconds` seconds and at least [`MIN_OPS`] ops.  Correctness gates
-//! run outside the timed regions.  The last stdout line is one JSON object
-//! with `correct`, `attempted`, `failed` and `metrics`:
+//! least `--seconds` seconds and at least [`MIN_OPS`] ops (more for
+//! `hier_retail`).  Correctness gates run outside the timed regions.  Times
+//! are reported at a reference host speed (see [`calib`]).  The last stdout
+//! line is one JSON object with `correct`, `attempted`, `failed` and
+//! `metrics`:
 //!
 //! * `--trace 0`: the end-to-end metrics ([`E2E`]), tracing off;
 //! * `--trace 1`: the per-layer metrics ([`LAYERS`]), from a run whose
@@ -18,6 +20,7 @@
 //!
 //! The exit code is non-zero when a correctness gate fails.
 
+mod calib;
 mod http;
 mod release;
 mod served;
@@ -29,17 +32,26 @@ use std::time::{Duration, Instant};
 
 use trace::Tracer;
 
-/// Fewest ops in a measured loop: p90 then has at least ten samples above it.
+/// Fewest ops in a measured loop by default: p90 then has at least ten
+/// samples above it.
 const MIN_OPS: usize = 100;
 /// Fewest traced ops (per-layer medians only).
 const MIN_TRACED_OPS: usize = 20;
 /// Set-up repetitions in an untraced run; `setup_s` is their median.
-const SETUP_REPS: usize = 3;
-/// Worker threads per session: at most two, the cores of the container
-/// the benchmark was sized on.  `stream_star` runs one: with two, its peak
-/// RSS depended on which allocator arena the maintenance buffers landed in
-/// (85–212 MB across seeds, against 74–76 MB for most seeds with one).
-const MAX_THREADS: usize = 2;
+const SETUP_REPS: usize = 5;
+/// Calibration kernel samples taken before and after each set-up.
+const SETUP_CAL_SAMPLES: usize = 3;
+/// Worker threads per session (and for the server's contexts): one, so
+/// that the calibration kernel, which runs on the op's thread, sees the
+/// speed of the only core the op uses.  With two workers `stream_star`'s
+/// peak RSS also depended on which allocator arena the maintenance buffers
+/// landed in (85–212 MB across seeds, against 74–76 MB for most seeds with
+/// one).  `hier_retail` is the exception, see [`threads_for`].
+const THREADS: usize = 1;
+/// `hier_retail` runs two workers (at most `nproc`): its op is 0.4–0.5 s on
+/// one thread whatever the instance size, too long for 100 ops in a run,
+/// and its residual maximisation halves on two.
+const HIER_THREADS: usize = 2;
 /// A loop stops here even below its op minimum, so a run always ends.
 const LOOP_CAP: Duration = Duration::from_secs(110);
 
@@ -120,11 +132,19 @@ impl<T, E: std::fmt::Display> OrStr<T> for Result<T, E> {
 /// everything else runs outside the timed regions.
 pub trait Workload: Sized {
     type Out;
+    /// Fewest ops in the measured loop.
+    const MIN_OPS: usize = MIN_OPS;
     /// Builds inputs and warm state.  Time the workload adds to `untimed`
     /// (truth evaluation, reference copies) is excluded from `setup_s`.
     fn setup(env: &Env, untimed: &mut Duration) -> Result<Self, String>;
     /// One op; `Err` counts as a failed op.
     fn op(&mut self, i: u64) -> Result<Self::Out, String>;
+    /// Time the last op spent pausing on purpose (a client's pause before a
+    /// request), which is not part of its latency.  Traced ops record it as
+    /// `idle` spans.
+    fn idle(&self) -> Duration {
+        Duration::ZERO
+    }
     /// Correctness gates on one op's output (untimed).  Also accumulates
     /// the op's error against truth.
     fn verify(&mut self, i: u64, out: Self::Out) -> Result<(), String>;
@@ -316,12 +336,22 @@ fn peak_rss_mb() -> Result<f64, String> {
 }
 
 /// A closed loop's record: one latency per attempted op (failed ops count
-/// as infinitely slow), and the wall time spent inside ops.
+/// as infinitely slow), the wall time of every op, and the calibration
+/// kernel's time right before each op.
 #[derive(Default)]
 struct Loop {
     lat_ms: Vec<f64>,
+    op_ms: Vec<f64>,
+    cal_ms: Vec<f64>,
     failed: u64,
     busy_s: f64,
+}
+
+impl Loop {
+    /// `values` (one per op) at the reference speed.
+    fn scaled(&self, values: &[f64]) -> Vec<f64> {
+        calib::calibrate(values, &self.cal_ms)
+    }
 }
 
 /// Gate failures, reported on stderr and folded into `correct`.
@@ -341,8 +371,8 @@ impl Gates {
     }
 }
 
-/// Runs ops `first..` until at least `seconds` have passed inside ops and
-/// `min_ops` ops were attempted (or [`LOOP_CAP`] passes).
+/// Runs ops `first..` until at least `seconds` have passed and `min_ops`
+/// ops were attempted (or [`LOOP_CAP`] passes).
 fn closed_loop<W: Workload>(
     w: &mut W,
     first: u64,
@@ -353,11 +383,15 @@ fn closed_loop<W: Workload>(
     let mut lp = Loop::default();
     let started = Instant::now();
     let mut i = first;
-    while (lp.busy_s < seconds || lp.lat_ms.len() < min_ops) && started.elapsed() < LOOP_CAP {
+    while (started.elapsed().as_secs_f64() < seconds || lp.lat_ms.len() < min_ops)
+        && started.elapsed() < LOOP_CAP
+    {
+        lp.cal_ms.push(calib::sample_ms());
         let t = Instant::now();
         let out = w.op(i);
-        let dt = t.elapsed().as_secs_f64();
+        let dt = t.elapsed().saturating_sub(w.idle()).as_secs_f64();
         lp.busy_s += dt;
+        lp.op_ms.push(dt * 1e3);
         match out {
             Ok(out) => {
                 lp.lat_ms.push(dt * 1e3);
@@ -378,34 +412,52 @@ fn untraced<W: Workload>(env: &Env, seconds: f64) -> Result<Report, String> {
     let mut gates = Gates::default();
     let mut setups = Vec::with_capacity(SETUP_REPS);
     let mut kept = None;
+    let mut setup_cal = Vec::new();
+    let calibrate_setup =
+        |cal: &mut Vec<f64>| cal.extend((0..SETUP_CAL_SAMPLES).map(|_| calib::sample_ms()));
     for _ in 0..SETUP_REPS {
         drop(kept.take());
+        calibrate_setup(&mut setup_cal);
         let mut untimed = Duration::ZERO;
         let t = Instant::now();
         let mut w = W::setup(env, &mut untimed)?;
         let warm = w.op(0)?;
-        setups.push((t.elapsed().saturating_sub(untimed)).as_secs_f64());
+        let idle = w.idle();
+        setups.push((t.elapsed().saturating_sub(untimed + idle)).as_secs_f64());
+        calibrate_setup(&mut setup_cal);
         gates.record("warm-up op", w.verify(0, warm));
         kept = Some(w);
     }
+    let setup_s = median(&setups) * calib::REF_MS / median(&setup_cal);
     let mut w = kept.expect("at least one set-up");
-    let lp = closed_loop(&mut w, 1, seconds, MIN_OPS, &mut gates);
+    let lp = closed_loop(&mut w, 1, seconds, W::MIN_OPS, &mut gates);
     gates.record("end of run", w.finish());
     let ok = lp.lat_ms.len() as u64 - lp.failed;
+    let lat_ms = lp.scaled(&lp.lat_ms);
+    let busy_s = lp.scaled(&lp.op_ms).iter().sum::<f64>() / 1e3;
     let metrics = vec![
-        ("setup_s", median(&setups)),
-        ("op_p50_ms", quantile(&lp.lat_ms, 0.5)),
-        ("op_p90_ms", quantile(&lp.lat_ms, 0.9)),
-        ("ops_per_s", ok as f64 / lp.busy_s),
+        ("setup_s", setup_s),
+        ("op_p50_ms", quantile(&lat_ms, 0.5)),
+        ("op_p90_ms", quantile(&lat_ms, 0.9)),
+        ("ops_per_s", ok as f64 / busy_s),
         ("peak_rss_mb", peak_rss_mb()?),
         ("linf_err_rel", w.accuracy()),
         ("ok_frac", ok as f64 / lp.lat_ms.len() as f64),
     ];
     eprintln!(
-        "perfbench: {} ops, {} failed, setups {:?} s",
+        "perfbench: {} ops, {} failed, setups {:?} s; wall clock: op p50 {:.3} ms, p90 {:.3} ms, {:.4} ops/s",
         lp.lat_ms.len(),
         lp.failed,
-        setups
+        setups,
+        quantile(&lp.lat_ms, 0.5),
+        quantile(&lp.lat_ms, 0.9),
+        ok as f64 / lp.busy_s
+    );
+    eprintln!(
+        "perfbench: calibration kernel median {:.4} ms (set-up {:.4} ms), reference {} ms",
+        median(&lp.cal_ms),
+        median(&setup_cal),
+        calib::REF_MS
     );
     Ok(Report {
         correct: gates.failures.is_empty(),
@@ -427,15 +479,20 @@ fn traced<W: Workload>(env: &Env, seconds: f64, workload: &str) -> Result<Report
     let mut tr = Tracer::new();
     let first = 1 + base.lat_ms.len() as u64;
     let mut ops = Vec::new();
+    let mut ops_cal_ms = Vec::new();
     let mut failed = base.failed;
     let started = Instant::now();
     let mut i = first;
     while (started.elapsed().as_secs_f64() < seconds * 0.6 || ops.len() < MIN_TRACED_OPS)
         && started.elapsed() < LOOP_CAP
     {
+        let cal = calib::sample_ms();
         tr.begin_op(i);
         match w.traced_op(i, &mut tr) {
-            Ok(()) => ops.push(i),
+            Ok(()) => {
+                ops.push(i);
+                ops_cal_ms.push(cal);
+            }
             Err(e) => {
                 eprintln!("perfbench: traced op {i} failed: {e}");
                 failed += 1;
@@ -446,9 +503,17 @@ fn traced<W: Workload>(env: &Env, seconds: f64, workload: &str) -> Result<Report
     gates.record("end of run", w.finish());
 
     let mut layers = w.layers(&tr, &ops);
-    let traced_p50 = median(&tr.per_op_ms("op", &ops));
-    let base_p50 = median(&base.lat_ms);
-    layers.push(("session.op_traced_ms", traced_p50));
+    let traced_ms: Vec<f64> = tr
+        .per_op_ms("op", &ops)
+        .iter()
+        .zip(tr.per_op_ms("idle", &ops))
+        .map(|(op, idle)| op - idle)
+        .collect();
+    layers.push(("session.op_traced_ms", median(&traced_ms)));
+    // Overhead compares both parts at the reference speed, so a change of
+    // host speed between them does not read as tracing cost.
+    let traced_p50 = median(&calib::calibrate(&traced_ms, &ops_cal_ms));
+    let base_p50 = median(&base.scaled(&base.lat_ms));
     layers.push(("trace.overhead_frac", traced_p50 / base_p50 - 1.0));
     let metrics: Vec<(&'static str, f64)> = LAYERS
         .iter()
@@ -503,6 +568,14 @@ fn with_units(
         .collect()
 }
 
+/// The pinned worker count of `workload`.
+fn threads_for(workload: &str) -> usize {
+    match workload {
+        "hier_retail" => HIER_THREADS.min(nproc()),
+        _ => THREADS,
+    }
+}
+
 fn nproc() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
@@ -538,10 +611,7 @@ fn main() {
     };
     // Pin parallelism before the engine first reads it: sessions built
     // here and the server's default contexts all use the same worker count.
-    let threads = match args.workload.as_str() {
-        "stream_star" => 1,
-        _ => nproc().min(MAX_THREADS),
-    };
+    let threads = threads_for(&args.workload);
     std::env::set_var("DPSYN_THREADS", threads.to_string());
     if let Err(e) = std::fs::create_dir_all(&args.work_dir) {
         eprintln!("perfbench: creating {}: {e}", args.work_dir.display());

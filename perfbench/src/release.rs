@@ -31,6 +31,11 @@ const DELTA: f64 = 1e-6;
 const QUERIES: usize = 8;
 /// Instances per run: the session's default number of LRU slots.
 const INSTANCES: usize = 8;
+/// Fewest ops in a `hier_retail` loop.  About one hierarchical op in six
+/// partitions into two or more non-empty parts and takes twice as long, so
+/// p90 sits just inside that slower group and moves with its share of a
+/// run; 120 ops narrow that share while a run stays near 35 s.
+const HIER_MIN_OPS: usize = 120;
 
 /// Which release algorithm a workload runs, and on what instance size.
 #[derive(Clone, Copy, PartialEq)]
@@ -468,9 +473,10 @@ impl Retail {
 }
 
 macro_rules! retail_workload {
-    ($ty:ident, $kind:expr) => {
+    ($ty:ident, $kind:expr, $min_ops:expr) => {
         impl Workload for $ty {
             type Out = (SyntheticRelease, AnswerSet);
+            const MIN_OPS: usize = $min_ops;
 
             fn setup(env: &Env, untimed: &mut Duration) -> Result<Self, String> {
                 Retail::setup($kind, env, untimed).map($ty)
@@ -497,5 +503,5 @@ macro_rules! retail_workload {
     };
 }
 
-retail_workload!(MultiRetail, Kind::Multi);
-retail_workload!(HierRetail, Kind::Hier);
+retail_workload!(MultiRetail, Kind::Multi, crate::MIN_OPS);
+retail_workload!(HierRetail, Kind::Hier, HIER_MIN_OPS);

@@ -8,9 +8,19 @@
 //! gives the truth for the accuracy figure, the expected fingerprints for
 //! the update chain, and the in-process release times the traced run sets
 //! against the round trips.  Requests carry no `seed` and no check depends
-//! on noise values.  Each set-up uses a fresh ledger directory under the
-//! work dir and deletes it when the workload is dropped; fsync timings are
-//! those of the filesystem the benchmark runs on.
+//! on noise values.
+//!
+//! The server's accept loop polls every 5 ms.  A client that sends its next
+//! request the moment a reply lands arrives at a phase of that poll set by
+//! the handler's time, so a cycle's latency steps by 5 ms when the host's
+//! speed moves the handlers across a step (p50 read 46.7 or 51.8 ms by
+//! seed).  The client therefore pauses a seeded, uniformly drawn 0–5 ms
+//! before each request, so every request meets the poll at a uniform phase;
+//! the pauses are not part of an op's latency.
+//!
+//! Each set-up uses a fresh ledger directory under the work dir and deletes
+//! it when the workload is dropped; fsync timings are those of the
+//! filesystem the benchmark runs on.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -25,6 +35,8 @@ use dpsyn::relational::{
 use dpsyn::server::handlers::mechanism_by_name;
 use dpsyn::server::{start, Json, ServerConfig, ServerHandle, Store};
 use dpsyn::Session;
+use rand::rngs::StdRng;
+use rand::Rng;
 
 use crate::http::call;
 use crate::stream::{stationary_cycle, MAX_DRIFT};
@@ -45,6 +57,8 @@ const GRANT_DELTA: f64 = 0.5;
 const TENANT: &str = "bench";
 const DATASET: &str = "bench";
 const MECHANISMS: [&str; 2] = ["two_table", "multi_table"];
+/// Longest client pause before a request: the accept loop's poll period.
+const PAUSE_MAX: Duration = Duration::from_millis(5);
 
 /// Distinguishes the ledger directories of successive set-ups.
 static SETUPS: AtomicUsize = AtomicUsize::new(0);
@@ -81,6 +95,9 @@ pub struct ServedSmall {
     ledger: Option<Store>,
     cache: CacheCounters,
     server_cache_base: Option<(f64, f64)>,
+    /// Draws the client's pauses, and their total in the current op.
+    pauses: StdRng,
+    paused: Duration,
 }
 
 fn hex(fp: u64) -> String {
@@ -152,6 +169,18 @@ impl ServedSmall {
         )
     }
 
+    /// Sleeps a uniform 0–[`PAUSE_MAX`] before a request (in an `idle`
+    /// span when traced) and adds the time slept to `paused`.
+    fn pause(&mut self, tr: &mut Option<&mut Tracer>) {
+        let wait = PAUSE_MAX.mul_f64(self.pauses.random::<f64>());
+        let t = Instant::now();
+        match tr {
+            Some(tr) => tr.span("idle", |_| std::thread::sleep(wait)),
+            None => std::thread::sleep(wait),
+        }
+        self.paused += t.elapsed();
+    }
+
     fn request(&self, method: &str, path: &str, body: &str) -> Result<Json, String> {
         let (status, body) = call(&self.addr, method, path, body)?;
         if !(200..300).contains(&status) {
@@ -165,8 +194,10 @@ impl ServedSmall {
             Some(t) => t.span(name, |_| f()),
             None => f(),
         };
+        self.paused = Duration::ZERO;
         let k = self.sent % self.cycle.len();
         let path = format!("/v1/dataset/{DATASET}/updates");
+        self.pause(tr);
         let update = timed(tr, "server.rtt_update", &mut || {
             self.request("POST", &path, &self.bodies[k])
         })?;
@@ -174,11 +205,13 @@ impl ServedSmall {
         let mut releases = Vec::with_capacity(MECHANISMS.len());
         for mechanism in MECHANISMS {
             let body = self.release_body(mechanism);
+            self.pause(tr);
             releases.push(timed(tr, "server.rtt_release", &mut || {
                 self.request("POST", "/v1/release", &body)
             })?);
         }
         let path = format!("/v1/tenant/{TENANT}");
+        self.pause(tr);
         let budget = timed(tr, "server.rtt_budget", &mut || {
             self.request("GET", &path, "")
         })?;
@@ -348,6 +381,8 @@ impl Workload for ServedSmall {
             ledger: None,
             cache: CacheCounters::default(),
             server_cache_base: None,
+            pauses: seeded_rng(env.seed ^ 0x9a05e),
+            paused: Duration::ZERO,
         };
         w.request(
             "POST",
@@ -386,6 +421,10 @@ impl Workload for ServedSmall {
 
     fn op(&mut self, _i: u64) -> Result<Out, String> {
         self.cycle_op(&mut None)
+    }
+
+    fn idle(&self) -> Duration {
+        self.paused
     }
 
     fn verify(&mut self, _i: u64, out: Out) -> Result<(), String> {
@@ -469,7 +508,8 @@ impl Workload for ServedSmall {
         let ms = |name: &str| tr.per_op_ms(name, ops);
         let per_release =
             |v: Vec<f64>| -> Vec<f64> { v.iter().map(|x| x / MECHANISMS.len() as f64).collect() };
-        let op = ms("op");
+        let idle = ms("idle");
+        let op: Vec<f64> = ms("op").iter().zip(&idle).map(|(o, i)| o - i).collect();
         let update = ms("server.rtt_update");
         let budget = ms("server.rtt_budget");
         let rtt = per_release(ms("server.rtt_release"));
