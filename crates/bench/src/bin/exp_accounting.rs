@@ -1,8 +1,9 @@
 //! E9 — empirical privacy accounting.
 //!
 //! Usage: `cargo run --release -p dpsyn-bench --bin exp_accounting [--quick] [--json]`
-//! See `EXPERIMENTS.md` for the recorded output and the paper claim it
-//! reproduces.
+//! `--json` prints the rows in machine-readable form for recording; the
+//! experiment function's doc comment in `dpsyn_bench::experiments` names the
+//! paper claim it reproduces.
 
 fn main() {
     dpsyn_bench::run_cli(

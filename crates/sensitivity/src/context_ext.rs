@@ -37,7 +37,10 @@ use dpsyn_relational::{
 
 use crate::boundary::boundary_query_sharded;
 use crate::local::local_sensitivity_seq;
-use crate::residual::{check_beta, maximize_over_assignments, ResidualSensitivity};
+use crate::residual::{
+    best_over_relations, boundary_table, check_beta, exclusion_table, maximize_over_assignments,
+    ResidualSensitivity,
+};
 use crate::smooth::{candidate_edits, candidate_neighbors};
 use crate::Result;
 
@@ -187,20 +190,12 @@ impl SensitivityOps for ExecContext {
         // module docs).
         let s_cap: u64 = (1.0 / beta).ceil() as u64;
 
+        let table = boundary_table(m, &boundary_values);
         let per_relation = exec::par_map(self.parallelism(), m, |i| {
-            maximize_over_assignments(m, i, beta, s_cap, &boundary_values)
+            maximize_over_assignments(&exclusion_table(&table, m, i), beta, s_cap)
         });
 
-        let mut best_value = 0.0f64;
-        let mut best_relation = 0usize;
-        let mut best_distance = 0u64;
-        for (i, &(value, distance)) in per_relation.iter().enumerate() {
-            if value > best_value {
-                best_value = value;
-                best_relation = i;
-                best_distance = distance;
-            }
-        }
+        let (best_value, best_relation, best_distance) = best_over_relations(&per_relation);
 
         Ok(ResidualSensitivity {
             beta,

@@ -19,8 +19,43 @@
 //! `e^{-βΣ_j s_j} · Σ_E T_{O_i∖E} Π_{j∈E} s_j` factors per coordinate into
 //! `s_j e^{-β s_j}` (for `j ∈ E`) or `e^{-β s_j}` (for `j ∉ E`).  Both factors
 //! are non-increasing in `s_j` beyond `1/β`, so no coordinate of an optimal
-//! `s` ever needs to exceed `⌈1/β⌉`.  We therefore enumerate
-//! `s ∈ {0, …, ⌈1/β⌉}^{m-1}` exactly — polynomial for constant `m`.
+//! `s` ever needs to exceed `s_cap = ⌈1/β⌉`.  The maximum is defined over
+//! the box `{0, …, s_cap}^{m-1}` (per excluded relation `i`), scanned in
+//! *odometer order* — `s_0` fastest — with a point replacing the best only
+//! when strictly greater; that order fixes which `(i, k)` a tie reports.
+//!
+//! The scan does not visit the whole box.  The `T_F` go into one dense table
+//! indexed by relation mask, built once and shared by the `m` outer
+//! relations, and each relation reads it through a `2^{m-1}`-entry table
+//! indexed by `E`, so the inner sum is an allocation-free loop.  With
+//! `s_1, …, s_{m-2}` fixed (`K` their sum), the inner sum is `a + b·s_0`
+//! with `a, b ≥ 0`, and `f(x) = e^{-β(K+x)}(a + b·x)` is log-concave with
+//! its real maximum at `x* = 1/β − a/b` (at 0 when `b = 0`), clipped to
+//! `[0, s_cap]`.  Only the integers in `[⌊x*⌋−1, ⌈x*⌉+1] ∩ [0, s_cap]`
+//! are evaluated, in ascending order, with the odometer's own float
+//! expression and update rule:
+//!
+//! * **±1 window.**  In exact arithmetic the best integer is `⌊x*⌋` or
+//!   `⌈x*⌉`.  `(log f)'' = −b²/(a+bx)²` is at most `−β²` left of `x*` and at
+//!   most about `−β²/4` right of it (`x ≤ s_cap ≈ 1/β`), so every integer
+//!   outside the window is worse than one inside by a relative gap of order
+//!   `β²` — about 10⁻⁷ at the hierarchical per-part `β = 1/887`, some eight
+//!   orders of magnitude above the rounding of a `2^{m-1}`-term f64 sum.  The extra integer on
+//!   each side absorbs the rounding of `x*` itself.  For `β` so small that
+//!   `β²` nears the f64 epsilon (below ~10⁻⁶) the value stays within
+//!   rounding of the exact maximum, but bit-identity with the full sweep is
+//!   no longer argued — a sweep that could not finish anyway.
+//! * **Tie-breaks.**  Rows `(s_1, …)` are walked in odometer order and each
+//!   window in ascending `s_0`, so the evaluated points are a subsequence of
+//!   the odometer sequence.  Every skipped point is strictly below a point
+//!   of its own row, hence below the maximum, so the first point attaining
+//!   the maximum — the one the full sweep reports — is evaluated, and
+//!   nothing before it in the sequence ties it.
+//!
+//! This removes one `s_cap` factor: `(s_cap+1)^{m-2}` rows of at most four
+//! points each, instead of `(s_cap+1)^{m-1}` points.  The full sweep is
+//! kept only as the unit tests' oracle, which checks value bits, relation
+//! and distance on randomized tables.
 
 use std::collections::BTreeMap;
 
@@ -97,63 +132,165 @@ pub fn all_boundary_values(
     Ok(out)
 }
 
-/// Evaluates `Σ_{E ⊆ O} T_{O∖E} Π_{j∈E} s_j` for a fixed relation-exclusion
-/// set `O` (given as a sorted list) and assignment `s` (aligned with `O`).
-fn inner_sum(o: &[usize], s: &[u64], boundary_values: &BTreeMap<Vec<usize>, u128>) -> f64 {
-    let len = o.len();
+/// `T_F(I)` for every proper subset `F ⊊ [m]` as one dense table indexed by
+/// relation mask (bit `r` set ⇔ `r ∈ F`), converted to `f64` once.
+/// `T_∅ = 1` by convention whatever `boundary_values` holds for `[]`; a
+/// subset absent from the map reads as 0, and so does the full mask, which
+/// no inner sum ever reads.
+pub(crate) fn boundary_table(m: usize, boundary_values: &BTreeMap<Vec<usize>, u128>) -> Vec<f64> {
+    let mut table = vec![0.0f64; 1 << m];
+    for (f, &value) in boundary_values {
+        let mask = f.iter().fold(0usize, |mask, &r| mask | (1 << r));
+        table[mask] = value as f64;
+    }
+    table[0] = 1.0;
+    table
+}
+
+/// The per-relation table of the inner sum for excluded relation `i`: entry
+/// `E` (a mask over the positions of `O_i = [m]∖{i}`, in ascending relation
+/// order) is `T_{O_i∖E}`.  Its length is `2^{m-1}`.
+pub(crate) fn exclusion_table(table: &[f64], m: usize, i: usize) -> Vec<f64> {
+    let others: Vec<usize> = (0..m).filter(|&j| j != i).collect();
+    let others_mask = ((1usize << m) - 1) & !(1 << i);
+    (0..1usize << others.len())
+        .map(|e| {
+            let removed = others
+                .iter()
+                .enumerate()
+                .filter(|&(bit, _)| e & (1 << bit) != 0)
+                .fold(0usize, |mask, (_, &r)| mask | (1 << r));
+            table[others_mask & !removed]
+        })
+        .collect()
+}
+
+/// Evaluates `Σ_{E ⊆ O} T_{O∖E} Π_{j∈E} s_j` for an exclusion table `t`
+/// (see [`exclusion_table`]) and assignment `s` aligned with `O`.  Products
+/// multiply in ascending bit order, a zero product skips its term, and terms
+/// add in mask order — the summation order every maximiser relies on for
+/// bit-identical results.
+fn inner_sum(t: &[f64], s: &[f64]) -> f64 {
     let mut total = 0.0;
-    for mask in 0u32..(1u32 << len) {
+    for (mask, &t) in t.iter().enumerate() {
         let mut product = 1.0f64;
-        let mut complement: Vec<usize> = Vec::with_capacity(len);
-        for (bit, &rel) in o.iter().enumerate() {
-            if mask & (1 << bit) != 0 {
-                product *= s[bit] as f64;
-            } else {
-                complement.push(rel);
-            }
+        let mut bits = mask;
+        while bits != 0 {
+            product *= s[bits.trailing_zeros() as usize];
+            bits &= bits - 1;
         }
         if product == 0.0 && mask != 0 {
-            // A zero s_j annihilates the term; skip the lookup.
             continue;
         }
-        let t = if complement.is_empty() {
-            1u128
-        } else {
-            boundary_values.get(&complement).copied().unwrap_or(0)
-        };
-        total += product * t as f64;
+        total += product * t;
     }
     total
 }
 
-/// Maximises `e^{-βk}·Σ_E T_{O_i∖E}·Πs_j` over `s ∈ {0..=s_cap}^{m-1}` for a
-/// fixed excluded relation `i`, returning the best value and its distance
-/// `k`.  The odometer enumeration order and the strictly-greater update rule
-/// make the result (including tie-breaks) identical to the historical
-/// sequential sweep.
-pub(crate) fn maximize_over_assignments(
-    m: usize,
-    i: usize,
-    beta: f64,
-    s_cap: u64,
-    boundary_values: &BTreeMap<Vec<usize>, u128>,
-) -> (f64, u64) {
-    let others: Vec<usize> = (0..m).filter(|&j| j != i).collect();
-    let mut s = vec![0u64; others.len()];
+/// The inner sum as `a + b·s_0` for the current `s[1..]`: `a` collects the
+/// terms without `s_0`, `b` the coefficients of `s_0`.  Only used to locate
+/// the real maximiser, so its rounding does not reach any result.
+fn linear_in_first(t: &[f64], s: &[f64]) -> (f64, f64) {
+    let (mut a, mut b) = (0.0f64, 0.0f64);
+    for (mask, &t) in t.iter().enumerate() {
+        let mut product = t;
+        let mut bits = mask >> 1;
+        while bits != 0 {
+            product *= s[1 + bits.trailing_zeros() as usize];
+            bits &= bits - 1;
+        }
+        if mask & 1 == 0 {
+            a += product;
+        } else {
+            b += product;
+        }
+    }
+    (a, b)
+}
+
+/// Maximises `e^{-βk}·Σ_E T_{O_i∖E}·Πs_j` over `s ∈ {0..=s_cap}^{m-1}` for
+/// the exclusion table `t` of one relation `i`, returning the best value and
+/// its distance `k`.  Walks `s[1..]` in odometer order and, per row, only the
+/// window of `s[0]` around the row's real maximiser (see the module docs), so
+/// the result — including tie-breaks — equals the full odometer sweep's.
+pub(crate) fn maximize_over_assignments(t: &[f64], beta: f64, s_cap: u64) -> (f64, u64) {
+    let len = t.len().trailing_zeros() as usize;
+    if len == 0 {
+        // One relation: the single point s = () at distance 0.
+        return (inner_sum(t, &[]), 0);
+    }
+    let mut s = vec![0u64; len];
+    let mut sf = vec![0.0f64; len];
+    let mut best_value = 0.0f64;
+    let mut best_distance = 0u64;
+    loop {
+        let (a, b) = linear_in_first(t, &sf);
+        let peak = if b > 0.0 { 1.0 / beta - a / b } else { 0.0 };
+        let peak = peak.clamp(0.0, s_cap as f64);
+        let lo = (peak.floor() as u64).saturating_sub(1);
+        let hi = (peak.ceil() as u64).saturating_add(1).min(s_cap);
+        let rest: u64 = s[1..].iter().sum();
+        for s0 in lo..=hi {
+            sf[0] = s0 as f64;
+            let k = s0 + rest;
+            let value = (-beta * k as f64).exp() * inner_sum(t, &sf);
+            if value > best_value {
+                best_value = value;
+                best_distance = k;
+            }
+        }
+        // Odometer increment over {0..=s_cap}^{m-2} for s[1..].
+        let mut pos = 1;
+        loop {
+            if pos == len {
+                return (best_value, best_distance);
+            }
+            if s[pos] < s_cap {
+                s[pos] += 1;
+                sf[pos] = s[pos] as f64;
+                break;
+            }
+            s[pos] = 0;
+            sf[pos] = 0.0;
+            pos += 1;
+        }
+    }
+}
+
+/// The outer maximum over relations: the first relation (in index order)
+/// whose per-relation `(value, distance)` is strictly greatest, as
+/// `(value, relation, distance)`.
+pub(crate) fn best_over_relations(per_relation: &[(f64, u64)]) -> (f64, usize, u64) {
+    let mut best = (0.0f64, 0usize, 0u64);
+    for (i, &(value, distance)) in per_relation.iter().enumerate() {
+        if value > best.0 {
+            best = (value, i, distance);
+        }
+    }
+    best
+}
+
+/// The test oracle for [`maximize_over_assignments`]: every point of
+/// `{0..=s_cap}^{m-1}` in odometer order (`s[0]` fastest), a point replacing
+/// the best only when strictly greater.
+#[cfg(test)]
+fn maximize_by_odometer(t: &[f64], beta: f64, s_cap: u64) -> (f64, u64) {
+    let len = t.len().trailing_zeros() as usize;
+    let mut s = vec![0u64; len];
     let mut best_value = 0.0f64;
     let mut best_distance = 0u64;
     loop {
         let k: u64 = s.iter().sum();
-        let value = (-beta * k as f64).exp() * inner_sum(&others, &s, boundary_values);
+        let sf: Vec<f64> = s.iter().map(|&v| v as f64).collect();
+        let value = (-beta * k as f64).exp() * inner_sum(t, &sf);
         if value > best_value {
             best_value = value;
             best_distance = k;
         }
-        // Odometer increment over {0..=s_cap}^{m-1}.
         let mut pos = 0;
         loop {
-            if pos == s.len() {
-                break;
+            if pos == len {
+                return (best_value, best_distance);
             }
             if s[pos] < s_cap {
                 s[pos] += 1;
@@ -162,14 +299,7 @@ pub(crate) fn maximize_over_assignments(
             s[pos] = 0;
             pos += 1;
         }
-        if pos == s.len() {
-            break;
-        }
-        if s.is_empty() {
-            break;
-        }
     }
-    (best_value, best_distance)
 }
 
 /// Computes the residual sensitivity `RS^β_count(I)` at the default
@@ -195,21 +325,25 @@ pub fn residual_sensitivity(
 /// never calls it.
 pub fn ls_hat_k(query: &JoinQuery, instance: &Instance, k: u64) -> Result<f64> {
     let m = query.num_relations();
-    let boundary_values = all_boundary_values(query, instance)?;
+    let table = boundary_table(m, &all_boundary_values(query, instance)?);
     let mut best = 0.0f64;
     for i in 0..m {
-        let others: Vec<usize> = (0..m).filter(|&j| j != i).collect();
-        let parts = others.len();
+        let t = exclusion_table(&table, m, i);
+        let parts = m - 1;
         if parts == 0 {
-            best = best.max(inner_sum(&others, &[], &boundary_values));
+            best = best.max(inner_sum(&t, &[]));
             continue;
         }
         // Enumerate all non-negative integer vectors of length `parts` summing
         // to exactly k.
         let mut s = vec![0u64; parts];
+        let mut sf = vec![0.0f64; parts];
         s[0] = k;
         loop {
-            best = best.max(inner_sum(&others, &s, &boundary_values));
+            for (x, &v) in sf.iter_mut().zip(&s) {
+                *x = v as f64;
+            }
+            best = best.max(inner_sum(&t, &sf));
             // Next composition in colex order: move one unit from the first
             // non-zero prefix position to the next position.
             let first_nonzero = match s[..parts - 1].iter().position(|&v| v > 0) {
@@ -220,9 +354,6 @@ pub fn ls_hat_k(query: &JoinQuery, instance: &Instance, k: u64) -> Result<f64> {
             s[first_nonzero + 1] += 1;
             s[first_nonzero] = 0;
             s[0] = moved;
-            if false {
-                break;
-            }
         }
     }
     Ok(best)
@@ -404,6 +535,132 @@ mod tests {
             // Full struct equality: value, maximiser, distance, boundary map.
             assert_eq!(par, seq, "threads {threads}");
         }
+    }
+
+    #[test]
+    fn tiny_beta_two_table_matches_analytic_maximum() {
+        // s_cap = 10^12: the full sweep would visit 10^12 points.
+        let (q, inst) = two_table();
+        let beta = 1e-12;
+        let rs = residual_sensitivity(&q, &inst, beta).unwrap();
+        let ls = crate::local_sensitivity(&q, &inst).unwrap() as f64;
+        let peak = 1.0 / beta - ls;
+        let expect = [peak.floor(), peak.ceil()]
+            .iter()
+            .map(|&k| (-beta * k).exp() * (ls + k))
+            .fold(0.0f64, f64::max);
+        assert!(
+            (rs.value - expect).abs() / expect < 1e-9,
+            "rs = {} expect = {expect}",
+            rs.value
+        );
+        assert!((rs.maximizing_distance as f64 - peak).abs() <= 2.0);
+    }
+
+    /// SplitMix64: a dependency-free generator for the randomized tables.
+    struct SplitMix(u64);
+
+    impl SplitMix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    /// A boundary map over every proper subset of `[m]`, `value(F)` per
+    /// subset (the empty subset included, which the table overrides to 1).
+    fn boundary_map(
+        m: usize,
+        mut value: impl FnMut(&[usize]) -> u128,
+    ) -> BTreeMap<Vec<usize>, u128> {
+        (0u32..(1 << m) - 1)
+            .map(|mask| {
+                let f: Vec<usize> = (0..m).filter(|r| mask & (1 << r) != 0).collect();
+                let v = value(&f);
+                (f, v)
+            })
+            .collect()
+    }
+
+    fn maximize_with(
+        m: usize,
+        beta: f64,
+        boundary_values: &BTreeMap<Vec<usize>, u128>,
+        maximize: fn(&[f64], f64, u64) -> (f64, u64),
+    ) -> (f64, usize, u64) {
+        let s_cap = (1.0 / beta).ceil() as u64;
+        let table = boundary_table(m, boundary_values);
+        let per_relation: Vec<(f64, u64)> = (0..m)
+            .map(|i| maximize(&exclusion_table(&table, m, i), beta, s_cap))
+            .collect();
+        best_over_relations(&per_relation)
+    }
+
+    #[test]
+    fn closed_form_matches_odometer_oracle_bit_for_bit() {
+        let mut rng = SplitMix(0x5EED);
+        let mut cases = 0;
+        for m in 2..=6usize {
+            for &beta in &[1.0f64, 0.5, 0.2, 0.05, 0.01, 1.0 / 887.0] {
+                let s_cap = (1.0 / beta).ceil() as u64;
+                if ((s_cap + 1) as f64).powi(m as i32 - 1) > 2e4 {
+                    continue;
+                }
+                let mut tables: Vec<(&str, BTreeMap<Vec<usize>, u128>)> = Vec::new();
+                for _ in 0..2 {
+                    // Magnitudes spread over six decades.
+                    tables.push((
+                        "random",
+                        boundary_map(m, |_| {
+                            let decades = rng.below(7) as u32;
+                            rng.below(10u64.pow(decades) + 1) as u128
+                        }),
+                    ));
+                }
+                // Depends only on |F|: every permutation of s ties exactly.
+                let by_size: Vec<u128> = (0..m).map(|_| 1 + rng.below(50) as u128).collect();
+                tables.push(("symmetric", boundary_map(m, |f| by_size[f.len()])));
+                tables.push((
+                    "zeros",
+                    boundary_map(m, |_| {
+                        if rng.below(2) == 0 {
+                            0
+                        } else {
+                            rng.below(30) as u128
+                        }
+                    }),
+                ));
+                tables.push(("empty", boundary_map(m, |_| 0)));
+                tables.push((
+                    "above 2^53",
+                    boundary_map(m, |f| {
+                        if f.is_empty() {
+                            1
+                        } else {
+                            (1u128 << (53 + rng.below(40))) + rng.next() as u128
+                        }
+                    }),
+                ));
+                for (kind, bv) in &tables {
+                    let fast = maximize_with(m, beta, bv, maximize_over_assignments);
+                    let oracle = maximize_with(m, beta, bv, maximize_by_odometer);
+                    assert_eq!(
+                        (fast.0.to_bits(), fast.1, fast.2),
+                        (oracle.0.to_bits(), oracle.1, oracle.2),
+                        "{kind} table, m = {m}, beta = {beta}: {fast:?} vs {oracle:?}"
+                    );
+                    cases += 1;
+                }
+            }
+        }
+        assert!(cases >= 100, "only {cases} cases ran");
     }
 
     #[test]
