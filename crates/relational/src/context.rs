@@ -405,8 +405,8 @@ impl ExecContext {
         self.cache_slots
     }
 
-    /// Sets the adaptive-planning knobs (default [`PlanConfig::default`],
-    /// which reads `DPSYN_REPLAN_RATIO` from the environment).  Consumers
+    /// Sets the adaptive-planning knobs (default [`PlanConfig::default`]).
+    /// Consumers
     /// running adaptive populates or walks over this context's checkouts
     /// read the config via [`ExecContext::plan_config`].
     pub fn with_plan_config(mut self, plan_config: PlanConfig) -> Self {
@@ -819,7 +819,7 @@ impl ExecContext {
     /// **Byte-identity:** maintained state holds exactly the weighted tuple
     /// sets a cold rebuild of the updated instance produces, so every
     /// downstream observable is byte-identical to dropping the cache and
-    /// starting over — at every thread count, morsel size and schedule.
+    /// starting over — at every thread count and morsel size.
     /// Validation errors leave both the instance and the cache untouched; a
     /// failure during maintenance itself discards the (now unreliable) slot
     /// rather than ever serving stale state.
@@ -1397,12 +1397,16 @@ mod tests {
         let (q, inst) = star_instance(3);
         let m = q.num_relations();
         let full = (1u32 << m) - 1;
-        let ctx = ExecContext::sequential()
-            .with_plan_config(PlanConfig::default().with_agg_mode(AggMode::Always));
+        let ctx = ExecContext::sequential();
         let cache = ctx.subjoin_cache(&q, &inst).unwrap();
-        assert_eq!(cache.agg_mode, AggMode::Always);
-        let terminal = full & !(1u32); // proper mask containing relation m-1
-        let expected = join_subset(&q, &inst, &[1, 2]).unwrap().total();
+        assert_eq!(cache.agg_mode, AggMode::Auto);
+        // A two-relation mask no other mask decomposes through: `Auto`
+        // reads it count-only.
+        let terminal = (1..full)
+            .find(|&mask| mask.count_ones() == 2 && !cache.plan().is_chain_parent(mask))
+            .expect("a terminal two-relation mask");
+        let rels: Vec<usize> = (0..m).filter(|i| terminal & (1 << i) != 0).collect();
+        let expected = join_subset(&q, &inst, &rels).unwrap().total();
         assert_eq!(
             cache
                 .max_group_weight(terminal, &[], Parallelism::SEQUENTIAL)

@@ -33,15 +33,13 @@
 //!
 //! ### Batched probe
 //!
-//! The probe side is processed in fixed-size batches
-//! ([`ProbeMode::Batched`], the default): pass one projects a batch of
-//! probe keys into a reusable arena and hashes them all, pass two walks the
-//! index chains and emits merges.  Splitting the loop this way amortises
-//! projection dispatch and bounds checks across the batch and keeps the
-//! hash computation out of the dependent load chain of the bucket walk.
-//! [`ProbeMode::Scalar`] (project + hash + probe one row at a time) is kept
-//! as the bench baseline; both modes visit identical (probe row, build row)
-//! pairs in identical order, so outputs are byte-identical.
+//! The probe side is processed in fixed-size batches: pass one projects a
+//! batch of probe keys into a reusable arena and hashes them all, pass two
+//! walks the index chains and emits merges.  Splitting the loop this way
+//! amortises projection dispatch and bounds checks across the batch and
+//! keeps the hash computation out of the dependent load chain of the bucket
+//! walk.  The (probe row, build row) pairs are visited in probe-row order,
+//! matches in ascending build-row order.
 //!
 //! ### Dictionary-encoded probe keys
 //!
@@ -140,19 +138,6 @@ fn hash_word(word: u64) -> u64 {
     let mut h = crate::hash::FxHasher::default();
     h.write_u64(word);
     h.finish()
-}
-
-/// How the hash-probe inner loop consumes probe rows.  Outputs are
-/// byte-identical under both modes; only instruction-level behavior differs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ProbeMode {
-    /// Project and hash a batch of probe keys, then walk the index for the
-    /// whole batch (the engine default — see the module docs).
-    #[default]
-    Batched,
-    /// Project, hash and probe one row at a time (the historical loop
-    /// shape, kept as the bench baseline).
-    Scalar,
 }
 
 /// A frozen chained hash index over the build side's projected keys.
@@ -656,83 +641,73 @@ fn merge_parts(mut parts: Vec<(Vec<Value>, Vec<u128>)>) -> (Vec<Value>, Vec<u128
     (values, weights)
 }
 
-/// One binary hash-join step: joins an accumulated result with a relation.
-/// Shorthand for [`hash_join_step_with`] at the default parallelism.
-pub fn hash_join_step(acc: &JoinResult, rel: &Relation) -> Result<JoinResult> {
-    hash_join_step_with(acc, rel, Parallelism::default())
-}
-
 /// Drives one probe-row range against a [`ProbeIndex`]: projects each
 /// probe row's key via `positions`, hashes it, and calls
 /// `on_match(probe_row, build_row)` for every key match — in probe-row
-/// order, matches in ascending build-row order.  Under
-/// [`ProbeMode::Batched`] keys are projected and hashed [`PROBE_BATCH`]
-/// rows at a time before any chain is walked; under [`ProbeMode::Scalar`]
-/// the three steps run row by row.  The (probe, build) pair sequence is
-/// identical either way.
+/// order, matches in ascending build-row order.  Keys are projected and
+/// hashed [`PROBE_BATCH`] rows at a time before any chain is walked.
+///
+/// With a `bloom` filter (the aggregate fold), each probe key's membership
+/// is tested between the hash pass and the chain walk, so keys the build
+/// side cannot contain never touch the index.  The filter has no false
+/// negatives, so the emitted (probe, build) pair sequence is the same with
+/// or without it.
 fn probe_rows<'a>(
     index: &ProbeIndex,
-    mode: ProbeMode,
+    bloom: Option<&BlockedBloom>,
     range: std::ops::Range<usize>,
     key_width: usize,
     row_of: impl Fn(usize) -> &'a [Value],
     positions: &[usize],
     mut on_match: impl FnMut(usize, usize),
 ) {
-    match mode {
-        ProbeMode::Batched if key_width == 1 => {
-            // Width-1 keys need no arena: the projected key is one value, so
-            // the batch is a plain value buffer and hashing needs no slice
-            // walk.  Candidate order — and thus every output byte — matches
-            // the general arm.
-            let pos = positions[0];
-            let mut batch: Vec<Value> = Vec::with_capacity(PROBE_BATCH);
-            let mut hashes: Vec<u64> = Vec::with_capacity(PROBE_BATCH);
-            let mut start = range.start;
-            while start < range.end {
-                let end = (start + PROBE_BATCH).min(range.end);
-                batch.clear();
-                hashes.clear();
-                for i in start..end {
-                    batch.push(row_of(i)[pos]);
-                }
-                hashes.extend(batch.iter().map(|&v| hash_word(v)));
-                for (k, i) in (start..end).enumerate() {
+    let may_match = |hash: u64| bloom.is_none_or(|b| b.may_contain(hash));
+    let mut hashes: Vec<u64> = Vec::with_capacity(PROBE_BATCH);
+    let mut start = range.start;
+    if key_width == 1 {
+        // Width-1 keys need no arena: the projected key is one value, so
+        // the batch is a plain value buffer and hashing needs no slice
+        // walk.  Candidate order — and thus every output byte — matches
+        // the general arm.
+        let pos = positions[0];
+        let mut batch: Vec<Value> = Vec::with_capacity(PROBE_BATCH);
+        while start < range.end {
+            let end = (start + PROBE_BATCH).min(range.end);
+            batch.clear();
+            hashes.clear();
+            for i in start..end {
+                batch.push(row_of(i)[pos]);
+            }
+            hashes.extend(batch.iter().map(|&v| hash_word(v)));
+            for (k, i) in (start..end).enumerate() {
+                if may_match(hashes[k]) {
                     index.for_each_match(std::slice::from_ref(&batch[k]), hashes[k], |j| {
                         on_match(i, j)
                     });
                 }
-                start = end;
             }
+            start = end;
         }
-        ProbeMode::Batched => {
-            let mut batch = KeyArena::with_capacity(key_width, PROBE_BATCH);
-            let mut hashes: Vec<u64> = Vec::with_capacity(PROBE_BATCH);
-            let mut start = range.start;
-            while start < range.end {
-                let end = (start + PROBE_BATCH).min(range.end);
-                batch.clear();
-                hashes.clear();
-                // Pass 1: project and hash the whole batch.
-                for i in start..end {
-                    batch.push_projected(row_of(i), positions);
-                }
-                for k in 0..batch.len() {
-                    hashes.push(hash_key(batch.row(k)));
-                }
-                // Pass 2: walk the chains.
-                for (k, i) in (start..end).enumerate() {
+    } else {
+        let mut batch = KeyArena::with_capacity(key_width, PROBE_BATCH);
+        while start < range.end {
+            let end = (start + PROBE_BATCH).min(range.end);
+            batch.clear();
+            hashes.clear();
+            // Pass 1: project and hash the whole batch.
+            for i in start..end {
+                batch.push_projected(row_of(i), positions);
+            }
+            for k in 0..batch.len() {
+                hashes.push(hash_key(batch.row(k)));
+            }
+            // Pass 2: walk the chains.
+            for (k, i) in (start..end).enumerate() {
+                if may_match(hashes[k]) {
                     index.for_each_match(batch.row(k), hashes[k], |j| on_match(i, j));
                 }
-                start = end;
             }
-        }
-        ProbeMode::Scalar => {
-            let mut scratch: Vec<Value> = Vec::with_capacity(key_width);
-            for i in range {
-                project_into(row_of(i), positions, &mut scratch);
-                index.for_each_match(&scratch, hash_key(&scratch), |j| on_match(i, j));
-            }
+            start = end;
         }
     }
 }
@@ -799,98 +774,23 @@ impl BlockedBloom {
     }
 }
 
-/// [`probe_rows`]' batched arms with Bloom semi-join pruning: each probe
-/// key's membership is tested against `bloom` between the hash pass and the
-/// chain walk, so keys the build side cannot contain never touch the index.
-/// Because the filter has no false negatives, the emitted (probe, build)
-/// pair sequence is identical to [`probe_rows`]' under any [`ProbeMode`].
-fn probe_rows_bloom<'a>(
-    index: &ProbeIndex,
-    bloom: &BlockedBloom,
-    range: std::ops::Range<usize>,
-    key_width: usize,
-    row_of: impl Fn(usize) -> &'a [Value],
-    positions: &[usize],
-    mut on_match: impl FnMut(usize, usize),
-) {
-    if key_width == 1 {
-        // Width-1 keys need no arena (see probe_rows).
-        let pos = positions[0];
-        let mut batch: Vec<Value> = Vec::with_capacity(PROBE_BATCH);
-        let mut hashes: Vec<u64> = Vec::with_capacity(PROBE_BATCH);
-        let mut start = range.start;
-        while start < range.end {
-            let end = (start + PROBE_BATCH).min(range.end);
-            batch.clear();
-            hashes.clear();
-            for i in start..end {
-                batch.push(row_of(i)[pos]);
-            }
-            hashes.extend(batch.iter().map(|&v| hash_word(v)));
-            for (k, i) in (start..end).enumerate() {
-                if bloom.may_contain(hashes[k]) {
-                    index.for_each_match(std::slice::from_ref(&batch[k]), hashes[k], |j| {
-                        on_match(i, j)
-                    });
-                }
-            }
-            start = end;
-        }
-    } else {
-        let mut batch = KeyArena::with_capacity(key_width, PROBE_BATCH);
-        let mut hashes: Vec<u64> = Vec::with_capacity(PROBE_BATCH);
-        let mut start = range.start;
-        while start < range.end {
-            let end = (start + PROBE_BATCH).min(range.end);
-            batch.clear();
-            hashes.clear();
-            for i in start..end {
-                batch.push_projected(row_of(i), positions);
-            }
-            for k in 0..batch.len() {
-                hashes.push(hash_key(batch.row(k)));
-            }
-            for (k, i) in (start..end).enumerate() {
-                if bloom.may_contain(hashes[k]) {
-                    index.for_each_match(batch.row(k), hashes[k], |j| on_match(i, j));
-                }
-            }
-            start = end;
-        }
-    }
-}
-
-/// One binary hash-join step at an explicit parallelism level, with the
-/// default [`ProbeMode::Batched`] inner loop.  See [`hash_join_step_mode`].
-pub fn hash_join_step_with(
-    acc: &JoinResult,
-    rel: &Relation,
-    par: Parallelism,
-) -> Result<JoinResult> {
-    hash_join_step_mode(acc, rel, par, ProbeMode::default())
-}
-
-/// One binary hash-join step at an explicit parallelism level and probe
-/// mode.
+/// One binary hash-join step at an explicit parallelism level.
 ///
 /// The smaller operand (by distinct tuple count) becomes the hash-build
 /// side: its shared-attribute projections are materialised into a frozen
 /// [`KeyArena`] and indexed by a chained hash table (no per-key
-/// allocation at any arity).  The larger side probes the index — in
-/// hash-then-walk batches under [`ProbeMode::Batched`], one row at a time
-/// under [`ProbeMode::Scalar`] — and with `par` workers the probe rows are
+/// allocation at any arity).  The larger side probes the index in
+/// hash-then-walk batches, and with `par` workers the probe rows are
 /// partitioned into contiguous morsels, each worker emits into its own
 /// flat buffer, and the buffers are concatenated in morsel order —
-/// byte-identical to the sequential emission at every worker count and in
-/// both probe modes.  Output tuples need no dedup map: distinct operand
+/// byte-identical to the sequential emission at every worker count.  Output tuples need no dedup map: distinct operand
 /// pairs always produce distinct merged tuples.  Weight multiplication
 /// saturates instead of wrapping, so adversarial worst-case instances
 /// degrade gracefully rather than overflow-panicking.
-pub fn hash_join_step_mode(
+pub fn hash_join_step_with(
     acc: &JoinResult,
     rel: &Relation,
     par: Parallelism,
-    mode: ProbeMode,
 ) -> Result<JoinResult> {
     let shared = intersect_attrs(&acc.attrs, rel.attrs());
     let (new_attrs, plan) = merge_plan(&acc.attrs, rel.attrs());
@@ -911,7 +811,7 @@ pub fn hash_join_step_mode(
             let mut weights: Vec<u128> = Vec::new();
             probe_rows(
                 &index,
-                mode,
+                None,
                 range,
                 shared.len(),
                 |i| acc.row(i),
@@ -941,7 +841,7 @@ pub fn hash_join_step_mode(
             let mut weights: Vec<u128> = Vec::new();
             probe_rows(
                 &index,
-                mode,
+                None,
                 range,
                 shared.len(),
                 |i| rel_rows.row(i),
@@ -1030,7 +930,7 @@ fn merge_agg_parts(
 /// entirely.
 ///
 /// Build-side selection, the match sequence and the weight arithmetic are
-/// exactly [`hash_join_step_mode`]'s, and grouping reproduces
+/// exactly [`hash_join_step_with`]'s, and grouping reproduces
 /// [`JoinResult::group_by_key`]'s saturating sums, so the returned summary
 /// equals [`AggSummary::from_join_result`] over the materialised step for
 /// every operand pair, thread count and morsel partition — only the
@@ -1069,9 +969,9 @@ pub fn hash_join_step_agg(
             let mut scratch: Vec<Value> = Vec::with_capacity(group_plan.len());
             let mut distinct = 0usize;
             let mut total = 0u128;
-            probe_rows_bloom(
+            probe_rows(
                 &index,
-                &bloom,
+                Some(&bloom),
                 range,
                 shared.len(),
                 |i| acc.row(i),
@@ -1111,9 +1011,9 @@ pub fn hash_join_step_agg(
             let mut scratch: Vec<Value> = Vec::with_capacity(group_plan.len());
             let mut distinct = 0usize;
             let mut total = 0u128;
-            probe_rows_bloom(
+            probe_rows(
                 &index,
-                &bloom,
+                Some(&bloom),
                 range,
                 shared.len(),
                 |i| rel_rows.row(i),
@@ -1194,7 +1094,7 @@ pub fn hash_join_step_dict(
 ) -> Result<JoinResult> {
     let shared = intersect_attrs(&acc.attrs, rel.attrs());
     let Some(packer) = dict.packer(&shared) else {
-        return hash_join_step_mode(acc, rel, par, ProbeMode::Batched);
+        return hash_join_step_with(acc, rel, par);
     };
     let (new_attrs, plan) = merge_plan(&acc.attrs, rel.attrs());
     let acc_shared_pos = project_positions(&acc.attrs, &shared)?;
@@ -1722,25 +1622,58 @@ mod tests {
         }
     }
 
+    /// The probe loop has a width-1 arm and a general arm; each is compared
+    /// tuple by tuple against the naive engine, with both operands taking a
+    /// turn as the build side, sequentially and with a partitioned probe.
     #[test]
-    fn scalar_and_batched_probe_modes_are_byte_identical() {
-        let q = JoinQuery::two_table(64, 4096, 64);
-        let mut inst = Instance::empty_for(&q).unwrap();
-        for i in 0..3000u64 {
-            inst.relation_mut(0).add(vec![i % 37, i % 4096], 1).unwrap();
-            inst.relation_mut(1)
-                .add(vec![(i * 7) % 4096, i % 29], 1 + i % 3)
-                .unwrap();
-        }
-        let acc = JoinResult::from_relation(inst.relation(0));
-        for par in [Parallelism::SEQUENTIAL, Parallelism::threads(4)] {
-            let batched =
-                hash_join_step_mode(&acc, inst.relation(1), par, ProbeMode::Batched).unwrap();
-            let scalar =
-                hash_join_step_mode(&acc, inst.relation(1), par, ProbeMode::Scalar).unwrap();
-            let b: Vec<(&[Value], u128)> = batched.iter_unordered().collect();
-            let s: Vec<(&[Value], u128)> = scalar.iter_unordered().collect();
-            assert_eq!(b, s, "modes must emit identical rows in identical order");
+    fn probe_step_matches_naive_at_every_shared_key_width() {
+        use crate::attr::{Attribute, Schema};
+        for width in 1..=3u16 {
+            // R0(A, S1..Sw) and R1(S1..Sw, B): the shared key sits at
+            // positions 1.. in R0 and 0.. in R1.
+            let schema = Schema::new(
+                (0..width + 2)
+                    .map(|a| Attribute::new(format!("X{a}"), 64))
+                    .collect(),
+            );
+            let shared: Vec<u16> = (1..=width).collect();
+            let r0: Vec<u16> = std::iter::once(0).chain(shared.iter().copied()).collect();
+            let r1: Vec<u16> = shared.iter().copied().chain([width + 1]).collect();
+            let q = JoinQuery::new(schema, vec![ids(&r0), ids(&r1)]).unwrap();
+            let mut inst = Instance::empty_for(&q).unwrap();
+            // 3000 rows on one side and 400 on the other clear
+            // MIN_PAR_PROBE either way round.
+            for i in 0..3000u64 {
+                let key: Vec<Value> = (0..u64::from(width)).map(|k| (i / (k + 2)) % 5).collect();
+                let row: Vec<Value> = std::iter::once(i % 61).chain(key).collect();
+                inst.relation_mut(0).add(row, 1 + i % 4).unwrap();
+            }
+            for i in 0..400u64 {
+                let key: Vec<Value> = (0..u64::from(width)).map(|k| (i * (k + 3)) % 6).collect();
+                let row: Vec<Value> = key.into_iter().chain([i % 53]).collect();
+                inst.relation_mut(1).add(row, 1 + i % 3).unwrap();
+            }
+            let naive = crate::naive::join_subset_naive(&q, &inst, &[0, 1]).unwrap();
+            let expect: Vec<(Vec<Value>, u128)> =
+                naive.iter().map(|(t, w)| (t.clone(), w)).collect();
+            assert!(!expect.is_empty(), "width {width}: fixture must join");
+            for (left, right) in [(0usize, 1usize), (1, 0)] {
+                let acc = JoinResult::from_relation(inst.relation(left));
+                let seq = hash_join_step_with(&acc, inst.relation(right), Parallelism::SEQUENTIAL)
+                    .unwrap();
+                assert_eq!(seq.attrs(), naive.attrs(), "width {width}");
+                let got: Vec<(Vec<Value>, u128)> =
+                    seq.iter().map(|(t, w)| (t.to_vec(), w)).collect();
+                assert_eq!(got, expect, "width {width}, acc = R{left}");
+                let par = hash_join_step_with(&acc, inst.relation(right), Parallelism::threads(4))
+                    .unwrap();
+                let seq_rows: Vec<(&[Value], u128)> = seq.iter_unordered().collect();
+                let par_rows: Vec<(&[Value], u128)> = par.iter_unordered().collect();
+                assert_eq!(
+                    par_rows, seq_rows,
+                    "width {width}, acc = R{left}, threads = 4"
+                );
+            }
         }
     }
 
@@ -1986,7 +1919,7 @@ mod tests {
         let mut plain: Vec<(usize, usize)> = Vec::new();
         probe_rows(
             &index,
-            ProbeMode::Batched,
+            None,
             0..acc.distinct_count(),
             shared.len(),
             |i| acc.row(i),
@@ -1994,9 +1927,9 @@ mod tests {
             |i, j| plain.push((i, j)),
         );
         let mut pruned: Vec<(usize, usize)> = Vec::new();
-        probe_rows_bloom(
+        probe_rows(
             &index,
-            &bloom,
+            Some(&bloom),
             0..acc.distinct_count(),
             shared.len(),
             |i| acc.row(i),

@@ -53,10 +53,10 @@
 //! [`crate::ExecContext::join_plan`] and stored in the context's LRU slot
 //! alongside the lattice, the shared full join and the delta plan; every
 //! checkout of the sub-join cache carries the same `Arc`, so parallel and
-//! sequential consumers observe the identical decomposition.  Bare caches
-//! ([`crate::SubJoinCache::new`], [`crate::ShardedSubJoinCache::new`])
-//! default to [`JoinPlan::fixed_prefix`] — the exact historical chain — and
-//! accept a planner-built plan through their `with_plan` constructors.
+//! sequential consumers observe the identical decomposition.  A bare cache
+//! ([`crate::ShardedSubJoinCache::new`]) defaults to
+//! [`JoinPlan::fixed_prefix`] — the exact historical chain — and accepts a
+//! planner-built plan through [`crate::ShardedSubJoinCache::with_plan`].
 //!
 //! ### Determinism contract
 //!
@@ -293,10 +293,6 @@ pub enum AggMode {
     /// materialized entry is still read directly when present.
     #[default]
     Auto,
-    /// Force the aggregate fold on every proper sub-join read, even when a
-    /// materialized entry exists (the CI stress setting).  The populate
-    /// skip set equals [`AggMode::Auto`]'s.
-    Always,
     /// Never aggregate: every mask is materialized (the historical
     /// behaviour, kept as the in-process oracle).
     Never,
@@ -313,28 +309,27 @@ pub struct PlanConfig {
     /// subset's `max(actual/estimate, estimate/actual)` exceeds this ratio,
     /// the not-yet-materialised remainder of the lattice is re-planned with
     /// measured cardinalities as exact anchors.  Must be ≥ 1; `1.0` re-plans
-    /// on any deviation (the CI stress setting), `f64::INFINITY` disables
-    /// re-planning.  Defaults to [`DEFAULT_REPLAN_RATIO`], overridable with
-    /// the `DPSYN_REPLAN_RATIO` environment variable.
+    /// on any deviation (what tests use to force re-plans),
+    /// `f64::INFINITY` disables re-planning.  Defaults to
+    /// [`DEFAULT_REPLAN_RATIO`].
     pub replan_ratio: f64,
     /// Per-mask materialize-vs-aggregate policy.  Defaults to
-    /// [`AggMode::Auto`], overridable with the `DPSYN_AGG_FORCE`
-    /// environment variable (`always`, `never` or `auto`).
+    /// [`AggMode::Auto`].
     pub agg_mode: AggMode,
 }
 
 impl Default for PlanConfig {
-    /// Reads `DPSYN_REPLAN_RATIO` and `DPSYN_AGG_FORCE` (falling back to
-    /// [`DEFAULT_REPLAN_RATIO`] / [`AggMode::Auto`]), same as
-    /// [`PlanConfig::from_env`].
+    /// [`DEFAULT_REPLAN_RATIO`] and [`AggMode::Auto`].
     fn default() -> Self {
-        PlanConfig::from_env()
+        PlanConfig {
+            replan_ratio: DEFAULT_REPLAN_RATIO,
+            agg_mode: AggMode::Auto,
+        }
     }
 }
 
 impl PlanConfig {
-    /// A config with an explicit re-plan ratio (clamped up to 1), ignoring
-    /// the environment.
+    /// A config with an explicit re-plan ratio (clamped up to 1).
     pub fn with_replan_ratio(replan_ratio: f64) -> Self {
         PlanConfig {
             replan_ratio: if replan_ratio.is_nan() {
@@ -350,31 +345,6 @@ impl PlanConfig {
     pub fn with_agg_mode(mut self, agg_mode: AggMode) -> Self {
         self.agg_mode = agg_mode;
         self
-    }
-
-    /// Reads the config from the environment: `DPSYN_REPLAN_RATIO` (a float
-    /// ≥ 1) overrides [`DEFAULT_REPLAN_RATIO`] and `DPSYN_AGG_FORCE`
-    /// (`always` / `never` / `auto`) overrides [`AggMode::Auto`]; unset,
-    /// empty or invalid values fall back to the defaults.
-    pub fn from_env() -> Self {
-        let ratio = std::env::var("DPSYN_REPLAN_RATIO")
-            .ok()
-            .and_then(|s| s.trim().parse::<f64>().ok())
-            .filter(|r| !r.is_nan() && *r >= 1.0)
-            .unwrap_or(DEFAULT_REPLAN_RATIO);
-        let agg_mode = std::env::var("DPSYN_AGG_FORCE")
-            .ok()
-            .and_then(|s| match s.trim().to_ascii_lowercase().as_str() {
-                "always" => Some(AggMode::Always),
-                "never" => Some(AggMode::Never),
-                "auto" => Some(AggMode::Auto),
-                _ => None,
-            })
-            .unwrap_or_default();
-        PlanConfig {
-            replan_ratio: ratio,
-            agg_mode,
-        }
     }
 }
 
@@ -1111,7 +1081,7 @@ mod tests {
     }
 
     #[test]
-    fn plan_config_reads_ratio_with_sane_fallbacks() {
+    fn plan_config_clamps_ratio_to_sane_values() {
         assert_eq!(PlanConfig::with_replan_ratio(3.0).replan_ratio, 3.0);
         // Sub-unit and NaN ratios are clamped to sane values.
         assert_eq!(PlanConfig::with_replan_ratio(0.25).replan_ratio, 1.0);
@@ -1119,17 +1089,16 @@ mod tests {
             PlanConfig::with_replan_ratio(f64::NAN).replan_ratio,
             DEFAULT_REPLAN_RATIO
         );
-        // Whatever the environment says, the parsed ratio is a finite-or-inf
-        // value ≥ 1 (the CI stress run exports DPSYN_REPLAN_RATIO=1).
-        let cfg = PlanConfig::from_env();
-        assert!(cfg.replan_ratio >= 1.0);
-        // Explicit constructors ignore the environment for the agg mode too.
+        assert_eq!(
+            PlanConfig::default(),
+            PlanConfig::with_replan_ratio(DEFAULT_REPLAN_RATIO)
+        );
         assert_eq!(PlanConfig::with_replan_ratio(3.0).agg_mode, AggMode::Auto);
         assert_eq!(
             PlanConfig::with_replan_ratio(3.0)
-                .with_agg_mode(AggMode::Always)
+                .with_agg_mode(AggMode::Never)
                 .agg_mode,
-            AggMode::Always
+            AggMode::Never
         );
     }
 

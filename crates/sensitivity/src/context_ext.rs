@@ -163,7 +163,7 @@ impl SensitivityOps for ExecContext {
             // re-plans the remaining levels (values are identical to the
             // static populate; see `dpsyn_relational::plan`).  The feedback
             // stats ride the cache back into the context's slot.
-            cache.populate_demanded_adaptive(par, exec::Schedule::Stealing, self.plan_config())?;
+            cache.populate_demanded_adaptive(par, self.plan_config())?;
         }
         let full = (1u32 << m) - 1;
         let entries = exec::par_map(par, full as usize, |i| -> Result<(Vec<usize>, u128)> {
@@ -448,7 +448,8 @@ impl SensitivityOps for ExecContext {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{all_boundary_values, local_sensitivity, residual_sensitivity};
+    use crate::{local_sensitivity, residual_sensitivity};
+    use dpsyn_relational::naive::all_boundary_values_naive;
     use dpsyn_relational::{AttrId, Relation};
 
     fn ids(v: &[u16]) -> Vec<AttrId> {
@@ -476,7 +477,7 @@ mod tests {
         let ctx = ExecContext::sequential();
         assert_eq!(
             ctx.all_boundary_values(&q, &inst).unwrap(),
-            all_boundary_values(&q, &inst).unwrap()
+            all_boundary_values_naive(&q, &inst).unwrap()
         );
         assert_eq!(
             ctx.local_sensitivity(&q, &inst).unwrap(),
@@ -499,8 +500,8 @@ mod tests {
         let (q, inst) = two_table();
         let ctx = ExecContext::sequential();
         let cold = ctx.residual_sensitivity(&q, &inst, 0.2).unwrap();
-        // Under DPSYN_AGG_FORCE=always the lattice persists as count-only
-        // summaries rather than materialised entries; both kinds count.
+        // The lattice persists as materialised entries plus count-only
+        // summaries; both kinds count.
         let cached_after_first = ctx.cached_subjoins() + ctx.cached_subjoin_aggregates();
         assert!(cached_after_first > 0, "lattice must persist across calls");
         // A sweep over β reuses the lattice: the cached count stays put and

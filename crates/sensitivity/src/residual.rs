@@ -59,9 +59,8 @@
 
 use std::collections::BTreeMap;
 
-use dpsyn_relational::{Instance, JoinQuery, SubJoinCache};
+use dpsyn_relational::{Instance, JoinQuery};
 
-use crate::boundary::boundary_query_cached;
 use crate::context_ext::SensitivityOps;
 use crate::error::SensitivityError;
 use crate::settings::SensitivityConfig;
@@ -108,28 +107,17 @@ pub(crate) fn check_beta(beta: f64) -> Result<()> {
 }
 
 /// Precomputes `T_F(I)` for every proper subset `F ⊊ [m]`, keyed by the sorted
-/// subset (the empty subset maps to 1).
-///
-/// All `2^m - 1` sub-joins are evaluated through one shared [`SubJoinCache`]
-/// (on its historical fixed-prefix decomposition — this free function
-/// doubles as the planner's cross-check path), so each subset costs a single
-/// incremental hash-join step over its cached parent instead of a full
-/// re-join from the base relations.  The context method
-/// ([`SensitivityOps::all_boundary_values`]) additionally decomposes along
-/// the cost-based join plan and persists the lattice across calls.
+/// subset (the empty subset maps to 1), at the default execution settings
+/// (see [`SensitivityOps::all_boundary_values`]).  Builds a throwaway
+/// context per call; hold an [`dpsyn_relational::ExecContext`] (or a
+/// `dpsyn::Session`) to reuse the sub-join lattice across calls.
 pub fn all_boundary_values(
     query: &JoinQuery,
     instance: &Instance,
 ) -> Result<BTreeMap<Vec<usize>, u128>> {
-    let m = query.num_relations();
-    let mut cache = SubJoinCache::new(query, instance)?;
-    let mut out = BTreeMap::new();
-    for mask in 0u32..((1u32 << m) - 1) {
-        let f: Vec<usize> = (0..m).filter(|i| mask & (1 << i) != 0).collect();
-        let value = boundary_query_cached(&mut cache, &f)?;
-        out.insert(f, value);
-    }
-    Ok(out)
+    SensitivityConfig::default()
+        .to_context()
+        .all_boundary_values(query, instance)
 }
 
 /// `T_F(I)` for every proper subset `F ⊊ [m]` as one dense table indexed by

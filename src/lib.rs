@@ -14,7 +14,7 @@
 //! | module | crate | contents |
 //! |--------|-------|----------|
 //! | [`session`] | (this crate) | [`Session`] + [`ReleaseRequest`]: the long-lived entry point owning parallelism, sensitivity settings and the persistent sub-join caches |
-//! | [`relational`] | `dpsyn-relational` | schemas, annotated relations, join hypergraphs, the hash-join engine (columnar `JoinResult`, inline `TupleKey`), the `ExecContext` execution layer, the `SubJoinCache` for subset enumerations, degrees, attribute trees, plus the retained `naive` reference engine |
+//! | [`relational`] | `dpsyn-relational` | schemas, annotated relations, join hypergraphs, the hash-join engine (columnar `JoinResult`, inline `TupleKey`), the `ExecContext` execution layer, the `ShardedSubJoinCache` for subset enumerations, degrees, attribute trees, plus the retained `naive` reference engine |
 //! | [`noise`] | `dpsyn-noise` | Laplace / truncated Laplace, exponential mechanism, privacy budgets & composition |
 //! | [`sensitivity`] | `dpsyn-sensitivity` | local, global, and residual sensitivity; maximum degrees; degree configurations |
 //! | [`query`] | `dpsyn-query` | linear query families over joins and their evaluation |
@@ -148,7 +148,7 @@
 //! [`relational::TupleKey`], multi-way joins pick their fold order by
 //! relation size, and the `2^m` relation-subset enumerations behind residual
 //! sensitivity share sub-join work through a
-//! [`relational::SubJoinCache`] — decomposed by the cost-based join planner
+//! [`relational::ShardedSubJoinCache`] — decomposed by the cost-based join planner
 //! ([`relational::plan`]: per-subset pivots chosen from per-relation
 //! statistics, so cached intermediates are the smallest available; tracked
 //! by the `planner/*` rows of `BENCH_join.json`) and persisted **across
@@ -160,14 +160,12 @@
 //! `edit_sweep/*` rows of `BENCH_join.json`).  Lattice masks whose tuples
 //! nobody reads — the terminal subsets consumed only as join sizes and
 //! boundary maxima — are not materialised at all: the cache's
-//! **aggregate-pushdown mode** ([`relational::AggMode`], the
-//! `DPSYN_AGG_FORCE` environment variable) streams their hash-probe
-//! matches straight into grouped saturating accumulators behind a blocked
-//! Bloom semi-join pre-filter, cutting resident bytes
+//! **aggregate-pushdown mode** ([`relational::AggMode`]) streams their
+//! hash-probe matches straight into grouped saturating accumulators behind
+//! a blocked Bloom semi-join pre-filter, cutting resident bytes
 //! ([`Session::cached_subjoin_bytes`], the `agg/*` rows of
 //! `BENCH_join.json`) without changing a single output byte.  Hash order
-//! is never
-//! observable: every tuple-exposing API sorts on emit, so runs are
+//! is never observable: every tuple-exposing API sorts on emit, so runs are
 //! byte-reproducible from an RNG seed — see the determinism contract in
 //! [`relational`]'s crate docs.  The previous `BTreeMap` engine survives as
 //! `relational::naive`, the cross-check oracle for `tests/properties.rs` and

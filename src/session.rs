@@ -63,9 +63,9 @@
 //! parallel callers.  Plans are **adaptive**: as intermediates materialise,
 //! actual cardinalities are measured against the plan's estimates, and an
 //! estimate off by more than [`PlanConfig::replan_ratio`]
-//! ([`Session::with_plan_config`], or the `DPSYN_REPLAN_RATIO` environment
-//! variable) re-plans the not-yet-built remainder with the measured sizes
-//! pinned as exact anchors — without ever changing output bytes.
+//! (see [`Session::with_plan_config`]) re-plans the not-yet-built remainder
+//! with the measured sizes pinned as exact anchors — without ever changing
+//! output bytes.
 //! [`Session::plan_stats`] exposes the chosen orders, the estimated/actual
 //! intermediate sizes, and the re-plan feedback counters
 //! ([`dpsyn_relational::ReplanStats`]).
@@ -98,8 +98,8 @@
 //!    with work stealing ([`dpsyn_relational::exec`]): workers claim
 //!    morsels dynamically, but every result is tagged with its morsel index
 //!    and merged in morsel order — so `Session::sequential()` and a
-//!    64-thread session produce the same bytes at every morsel size and
-//!    schedule, differing only in wall-clock time.  The same holds for the
+//!    64-thread session produce the same bytes at every morsel size,
+//!    differing only in wall-clock time.  The same holds for the
 //!    dictionary-encoded probe path ([`Session::join_dict`]), which decodes
 //!    on emit.
 
@@ -225,9 +225,8 @@ impl Session {
     /// Overrides the adaptive planner's knobs for this session — most
     /// notably the estimate-error ratio past which materialised
     /// cardinalities trigger a re-plan (see
-    /// [`dpsyn_relational::PlanConfig`]).  The default honours the
-    /// `DPSYN_REPLAN_RATIO` environment variable.  Re-planning only
-    /// changes decomposition routes, never output bytes.
+    /// [`dpsyn_relational::PlanConfig`]).  Re-planning only changes
+    /// decomposition routes, never output bytes.
     pub fn with_plan_config(mut self, plan_config: PlanConfig) -> Self {
         self.ctx = self.ctx.with_plan_config(plan_config);
         self
@@ -570,9 +569,10 @@ mod tests {
         let request = ReleaseRequest::new(&q, &inst, &workload, params).with_seed(2);
 
         session.release(&MultiTable::default(), &request).unwrap();
-        // Under DPSYN_AGG_FORCE=always every proper mask folds count-only,
-        // so the persisted entries may all be aggregate summaries.
-        assert!(session.cached_subjoins() + session.cached_subjoin_aggregates() > 0);
+        // The m = 2 lattice persists one materialised chain parent and one
+        // count-only terminal mask.
+        assert_eq!(session.cached_subjoins(), 1);
+        assert_eq!(session.cached_subjoin_aggregates(), 1);
         let (hits_before, _) = session.cache_stats();
         session.release(&MultiTable::default(), &request).unwrap();
         let (hits_after, _) = session.cache_stats();
@@ -631,10 +631,8 @@ mod tests {
         // planner; the stats now expose the materialised intermediates.
         session.residual_sensitivity(&q, &inst, 0.5).unwrap();
         let warm = session.plan_stats(&q, &inst).unwrap();
-        // Under DPSYN_AGG_FORCE=always the intermediates live in the
-        // count-only overlay instead of the materialised memo; either kind
-        // of entry proves the lattice got populated.
-        assert!(warm.cached_masks + warm.aggregated_masks > 0);
+        assert_eq!(warm.cached_masks, 1);
+        assert_eq!(warm.aggregated_masks, 1);
         assert!(warm.nodes.iter().any(|n| n.actual_rows.is_some()));
     }
 

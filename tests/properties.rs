@@ -12,10 +12,7 @@ use dpsyn_core::{partition_two_table, verify_two_table_partition};
 use dpsyn_datagen::{random_path, random_star, random_two_table, zipf_two_table};
 use dpsyn_noise::seeded_rng;
 use dpsyn_relational::naive::{all_boundary_values_naive, join_size_naive, join_subset_naive};
-use dpsyn_relational::{
-    deg_multi, deg_multi_cached, join_subset, NeighborEdit, ShardedSubJoinCache, SubJoinCache,
-    Value,
-};
+use dpsyn_relational::{deg_multi, join_subset, NeighborEdit, ShardedSubJoinCache, Value};
 use dpsyn_sensitivity::{
     all_boundary_values, candidate_edits, ls_hat_k, SensitivityConfig, SensitivityOps,
 };
@@ -139,16 +136,33 @@ fn cached_boundary_values_match_naive_recomputation() {
     }
 }
 
-/// Cached multi-relation degree maps agree with the uncached definition.
+/// Multi-relation degree maps (Definition 4.7) counted off the shared
+/// sub-join cache's lattice agree with [`deg_multi`]'s from-scratch joins.
 #[test]
 fn cached_degree_maps_match_uncached() {
     for seed in 0..CASES {
         let (query, inst) = random_star(3, 8, 30, 1.0, &mut seeded_rng(2000 + seed));
-        let mut cache = SubJoinCache::new(&query, &inst).unwrap();
+        let cache = ShardedSubJoinCache::new(&query, &inst).unwrap();
         let hub = vec![AttrId(0)];
         for rels in non_empty_subsets(query.num_relations()) {
+            if rels.len() < 2 {
+                continue;
+            }
             let plain = deg_multi(&query, &inst, &rels, &hub).unwrap();
-            let cached = deg_multi_cached(&mut cache, &rels, &hub).unwrap();
+            // deg_{E,y}(t) = |{u ∈ Ψ_E : π_y u = t}|, Ψ_E projected onto ⋂ x_i.
+            let cap = query.intersect_attrs(&rels).unwrap();
+            let hub_pos = dpsyn_relational::project_positions(&cap, &hub).unwrap();
+            let mask = cache.mask_of(&rels).unwrap();
+            let psi = cache
+                .join_mask(mask, Parallelism::SEQUENTIAL)
+                .unwrap()
+                .distinct_projections(&cap)
+                .unwrap();
+            let mut cached = std::collections::BTreeMap::new();
+            for u in psi {
+                let key: Vec<Value> = hub_pos.iter().map(|&p| u[p]).collect();
+                *cached.entry(key).or_insert(0u64) += 1;
+            }
             assert_eq!(plain, cached, "degree maps differ, seed {seed}");
         }
     }
@@ -223,7 +237,7 @@ fn parallel_sensitivity_matches_sequential_and_naive() {
         let (query, inst) = random_star(4, 64, 800, 0.5, &mut seeded_rng(9500 + seed));
         let beta = 0.1 + (seed as f64) / 10.0;
         let seq_ctx = SensitivityConfig::sequential().to_context();
-        let seq_bv = all_boundary_values(&query, &inst).unwrap();
+        let seq_bv = seq_ctx.all_boundary_values(&query, &inst).unwrap();
         let seq_rs = seq_ctx.residual_sensitivity(&query, &inst, beta).unwrap();
         let seq_ls = seq_ctx.local_sensitivity(&query, &inst).unwrap();
         for threads in [2usize, 4] {
@@ -424,12 +438,9 @@ fn planner_decomposition_matches_fixed_prefix_and_naive() {
             }
 
             // Context entry points decompose along the planner; warm calls
-            // must match cold calls, the fixed-prefix free functions, and
-            // the naive oracle — at the sequential and the default
-            // parallelism.
+            // must match cold calls, the free functions, and the naive
+            // oracle — at the sequential and the default parallelism.
             let naive_bv = all_boundary_values_naive(&query, &inst).unwrap();
-            let fixed_bv = all_boundary_values(&query, &inst).unwrap();
-            assert_eq!(fixed_bv, naive_bv, "{shape}, seed {seed}");
             let beta = 0.15 + (seed as f64) / 10.0;
             for ctx in [ExecContext::sequential(), ExecContext::default()] {
                 let cold_bv = ctx.all_boundary_values(&query, &inst).unwrap();
@@ -555,7 +566,7 @@ fn distinct_sketch_is_accurate_and_merge_is_a_semilattice() {
 #[test]
 fn adaptive_planning_is_byte_identical_to_static_and_naive() {
     use dpsyn_datagen::{correlated_pair, heavy_hitter_star};
-    use dpsyn_relational::{PlanConfig, Schedule};
+    use dpsyn_relational::PlanConfig;
     for seed in 0..2u64 {
         let shapes: Vec<(&str, (JoinQuery, Instance))> = vec![
             (
@@ -587,7 +598,6 @@ fn adaptive_planning_is_byte_identical_to_static_and_naive() {
                     let (_, replan) = adaptive
                         .populate_proper_subsets_adaptive(
                             Parallelism::threads(threads),
-                            Schedule::Stealing,
                             &PlanConfig::with_replan_ratio(ratio),
                         )
                         .unwrap();
@@ -686,8 +696,7 @@ fn adaptive_transient_walks_cut_cached_tuples_on_correlated_workloads() {
 /// — but never what they evaluate to: boundary values, residual sensitivity,
 /// local sensitivity and join sizes are byte-identical across every
 /// [`AggMode`], thread count and warm/cold state, and equal to the naive
-/// oracle.  `AggMode::Never` *is* the materializing oracle; `Always` forces
-/// the count-only fold even where `Auto` would serve warm tuples.
+/// oracle.  `AggMode::Never` *is* the materializing oracle.
 #[test]
 fn aggregate_pushdown_is_byte_identical_to_materializing_and_naive() {
     use dpsyn_datagen::{correlated_pair, heavy_hitter_star};
@@ -715,7 +724,7 @@ fn aggregate_pushdown_is_byte_identical_to_materializing_and_naive() {
             let naive_size = join_size_naive(query, inst).unwrap();
             let oracle_rs = residual_sensitivity(query, inst, 0.4).unwrap();
             let oracle_ls = local_sensitivity(query, inst).unwrap();
-            for mode in [AggMode::Never, AggMode::Auto, AggMode::Always] {
+            for mode in [AggMode::Never, AggMode::Auto] {
                 for threads in [1usize, 2, 4, 8] {
                     let ctx = ExecContext::with_threads(threads)
                         .with_min_par_instance(1)
@@ -763,7 +772,7 @@ fn aggregate_pushdown_is_byte_identical_to_materializing_and_naive() {
     inst.relation_mut(2).add(vec![0, 0], 1).unwrap();
     let naive_bv = all_boundary_values_naive(&query, &inst).unwrap();
     assert_eq!(naive_bv[&vec![0usize, 1]], u128::MAX, "fixture saturates");
-    for mode in [AggMode::Never, AggMode::Auto, AggMode::Always] {
+    for mode in [AggMode::Never, AggMode::Auto] {
         for threads in [1usize, 2, 4] {
             let ctx = ExecContext::with_threads(threads)
                 .with_min_par_instance(1)
@@ -1023,7 +1032,7 @@ fn stream_maintenance_is_byte_identical_to_rebuild_and_naive() {
 }
 
 // ---------------------------------------------------------------------------
-// Morsel-driven work-stealing scheduler: stealing ≡ strided ≡ sequential ≡ naive
+// Morsel-driven work-stealing scheduler: stealing ≡ sequential ≡ naive
 // ---------------------------------------------------------------------------
 
 /// The skewed shapes the stealer exists for, plus the regular chain and star.
@@ -1039,15 +1048,15 @@ fn scheduler_shapes(seed: u64) -> Vec<(&'static str, JoinQuery, Instance)> {
     ]
 }
 
-/// Work-stealing, strided, sequential and naive evaluation agree
-/// **byte-per-byte** at 1/2/4/8 threads on chain, star and heavy-hitter
-/// skewed shapes, on cold and warm contexts alike.  `JoinResult` equality
-/// compares the full columnar layout (flat row-major values plus weights),
-/// so `assert_eq!` here really is a byte-level check, not just a multiset
-/// check.
+/// Work-stealing, sequential and naive evaluation agree at 1/2/4/8 threads
+/// on chain, star and heavy-hitter skewed shapes, on cold and warm contexts
+/// alike.  Full joins are compared **byte-per-byte** in construction order
+/// (`iter_unordered`, the flat row-major buffers as built); lattice
+/// sub-joins as weighted tuple sets (`JoinResult` equality is
+/// order-insensitive).
 #[test]
-fn work_stealing_is_byte_identical_to_strided_sequential_and_naive() {
-    use dpsyn_relational::{exec, Schedule};
+fn work_stealing_is_byte_identical_to_sequential_and_naive() {
+    use dpsyn_relational::{exec, PlanConfig};
     for seed in 0..1u64 {
         for (shape, query, inst) in scheduler_shapes(seed) {
             let all: Vec<usize> = (0..query.num_relations()).collect();
@@ -1060,34 +1069,56 @@ fn work_stealing_is_byte_identical_to_strided_sequential_and_naive() {
                 "{shape}, seed {seed}"
             );
             let m = query.num_relations();
-            let mut seq_cache = SubJoinCache::new(&query, &inst).unwrap();
+            // The sequential lattice walk, checked mask by mask against the
+            // naive engine once; the stealing populates below match it.
+            let seq_cache = ShardedSubJoinCache::new(&query, &inst).unwrap();
+            for mask in 1u32..((1u32 << m) - 1) {
+                let rels: Vec<usize> = (0..m).filter(|r| mask & (1 << r) != 0).collect();
+                let sub = seq_cache.join_mask(mask, Parallelism::SEQUENTIAL).unwrap();
+                let naive = join_subset_naive(&query, &inst, &rels).unwrap();
+                assert_eq!(sub.total(), naive.total(), "{shape}, mask {mask:#b}");
+                assert_eq!(
+                    sub.distinct_count(),
+                    naive.distinct_count(),
+                    "{shape}, mask {mask:#b}"
+                );
+            }
+            let seq_bytes: Vec<(&[Value], u128)> = seq.iter_unordered().collect();
             for threads in [1usize, 2, 4, 8] {
                 let par = Parallelism::threads(threads);
                 // Cold context: the engine's default (stealing) join.
                 let ctx = ExecContext::with_threads(threads).with_min_par_instance(1);
                 let cold = ctx.join(&query, &inst).unwrap();
-                assert_eq!(cold, seq, "{shape}, seed {seed}, threads {threads}");
+                let cold_bytes: Vec<(&[Value], u128)> = cold.iter_unordered().collect();
+                assert_eq!(
+                    cold_bytes, seq_bytes,
+                    "{shape}, seed {seed}, threads {threads}"
+                );
                 // The dictionary-encoded probe path is byte-identical too.
                 let dict = ctx.join_dict(&query, &inst).unwrap();
-                assert_eq!(dict, seq, "{shape} dict, seed {seed}, threads {threads}");
-                // Lattice populate under stealing AND strided: every mask's
-                // sub-join equals the sequential cache's, and every mask is
-                // claimed exactly once.
-                for sched in [Schedule::Stealing, Schedule::Strided] {
-                    let sharded = ShardedSubJoinCache::new(&query, &inst).unwrap();
-                    let stats = sharded.populate_proper_subsets_sched(par, sched).unwrap();
+                let dict_bytes: Vec<(&[Value], u128)> = dict.iter_unordered().collect();
+                assert_eq!(
+                    dict_bytes, seq_bytes,
+                    "{shape} dict, seed {seed}, threads {threads}"
+                );
+                // Lattice populate under stealing: every mask's sub-join
+                // equals the sequential walk's, and every mask is claimed
+                // exactly once.
+                let mut sharded = ShardedSubJoinCache::new(&query, &inst).unwrap();
+                let (stats, _) = sharded
+                    .populate_proper_subsets_adaptive(par, &PlanConfig::default())
+                    .unwrap();
+                assert_eq!(
+                    stats.total(),
+                    (1usize << m) - 2,
+                    "{shape}, seed {seed}, threads {threads}"
+                );
+                for mask in 1u32..((1u32 << m) - 1) {
                     assert_eq!(
-                        stats.total(),
-                        (1usize << m) - 2,
-                        "{shape}, seed {seed}, threads {threads}, {sched:?}"
+                        sharded.get(mask).expect("populated"),
+                        seq_cache.join_mask(mask, Parallelism::SEQUENTIAL).unwrap(),
+                        "{shape}, mask {mask:#b}, threads {threads}"
                     );
-                    for mask in 1u32..((1u32 << m) - 1) {
-                        assert_eq!(
-                            sharded.get(mask).expect("populated").as_ref(),
-                            seq_cache.join_mask(mask).unwrap(),
-                            "{shape}, mask {mask:#b}, threads {threads}, {sched:?}"
-                        );
-                    }
                 }
                 // Warm context: the cached shared join is the same bytes.
                 let warm_first = ctx.shared_join(&query, &inst).unwrap();
@@ -1096,26 +1127,20 @@ fn work_stealing_is_byte_identical_to_strided_sequential_and_naive() {
                 assert!(std::sync::Arc::ptr_eq(&warm_first, &warm_again));
             }
             // Morsel-level merge is order-stable down to morsel size 1 (the
-            // maximal-interleaving case) under both schedules: per-morsel
-            // row dumps concatenate to exactly the sequential emission.
+            // maximal-interleaving case): per-morsel row dumps concatenate
+            // to exactly the sequential emission.
             let rows: Vec<(Vec<Value>, u128)> = seq.iter().map(|(t, w)| (t.to_vec(), w)).collect();
             for threads in [1usize, 2, 4, 8] {
-                for sched in [Schedule::Stealing, Schedule::Strided] {
-                    for morsel in [1usize, 7, 64] {
-                        let (parts, stats) = exec::par_map_morsels_stats(
-                            Parallelism::threads(threads),
-                            sched,
-                            rows.len(),
-                            morsel,
-                            |r| rows[r].to_vec(),
-                        );
-                        let merged: Vec<(Vec<Value>, u128)> = parts.into_iter().flatten().collect();
-                        assert_eq!(
-                            merged, rows,
-                            "{shape}, threads {threads}, morsel {morsel}, {sched:?}"
-                        );
-                        assert_eq!(stats.total(), rows.len().div_ceil(morsel).max(1));
-                    }
+                for morsel in [1usize, 7, 64] {
+                    let (parts, stats) = exec::par_map_morsels_stats(
+                        Parallelism::threads(threads),
+                        rows.len(),
+                        morsel,
+                        |r| rows[r].to_vec(),
+                    );
+                    let merged: Vec<(Vec<Value>, u128)> = parts.into_iter().flatten().collect();
+                    assert_eq!(merged, rows, "{shape}, threads {threads}, morsel {morsel}");
+                    assert_eq!(stats.total(), rows.len().div_ceil(morsel).max(1));
                 }
             }
         }
